@@ -80,9 +80,13 @@ fn main() {
 
     let links = report.snapshot.counter("greedy.links").max(1);
     let rejects = report.snapshot.counter("ledger.probe.reject");
-    let farfield = report.snapshot.counter("ledger.farfield.accept");
-    let exact = report.snapshot.counter("ledger.exact.fallback");
-    let screened = farfield + exact;
+    let probes = report.snapshot.counter("ledger.probe.accept") + rejects;
+    let tight_walks = report.snapshot.counter("ledger.exact.fallback_existing");
+    let pruned_scans = report
+        .snapshot
+        .histograms
+        .get("ledger.scan.entries")
+        .map_or(0, |h| h.count);
     let mut derived = Table::new("Derived probe profile", &["metric", "value"]);
     derived.push_row(vec![
         "probe_rejects_per_link".to_string(),
@@ -90,12 +94,17 @@ fn main() {
     ]);
     derived.push_row(vec![
         "farfield_hit_rate_pct".to_string(),
-        if screened == 0 {
+        if pruned_scans == 0 {
             // The dense 64-node instance probes exactly; the pruned
             // far-field path only engages on spatially indexed instances.
             "n/a (exact probes only)".to_string()
         } else {
-            format!("{:.2}", farfield as f64 / screened as f64 * 100.0)
+            // Share of probes that needed no exact re-check of an assigned
+            // link outside the candidate's cutoff discs.
+            format!(
+                "{:.2}",
+                100.0 * (1.0 - tight_walks as f64 / probes.max(1) as f64)
+            )
         },
     ]);
     derived.push_row(vec![

@@ -600,6 +600,27 @@ mod tests {
         let exact = GreedyPhysical::paper_baseline()
             .schedule(&scream_scheduling::ExactPhysical(&env), &demands);
         assert_eq!(pruned, exact);
+        // Pinned so a ledger change that shifts verdicts on both paths at
+        // once still shows: FNV-1a over the runs (count, then each entry's
+        // channel and endpoints).
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (pattern, count) in pruned.runs() {
+            mix(count);
+            mix(pattern.len() as u64);
+            for (channel, link) in pattern.entries() {
+                mix(channel.index() as u64);
+                mix(link.head.index() as u64);
+                mix(link.tail.index() as u64);
+            }
+        }
+        assert_eq!(pruned.length(), 120);
+        assert_eq!(digest, 0x6152_64f3_5164_6617);
     }
 
     #[test]

@@ -44,14 +44,24 @@
 //! * the (≤ `unit_mw`-each) far endpoints are replaced by one aggregated
 //!   upper bound, which **accepts** the candidate when even that
 //!   overestimate keeps both directions above β;
-//! * assigned links are re-checked individually only when an endpoint of
-//!   theirs lies inside the candidate's cutoff disc, provided the slot-wide
-//!   worst SINR ratio has more than the far-field unit's worth of headroom.
+//! * an assigned link is re-checked exactly in a handshake direction when
+//!   its receiver for that direction lies inside the candidate's cutoff
+//!   disc — during the ring scans, so the neighbour that breaks usually
+//!   stops the scan;
+//! * outside the discs only the slot's **tight set** is re-checked: the
+//!   links whose cached SINR ratio has less than the far-field unit's worth
+//!   of headroom over β (`β · (1 + unit/noise)`). Every other link gains at
+//!   most `unit_mw` from a far candidate and so cannot flip. This is the
+//!   per-link affectance-budget view of Halldórsson–Mitra: only links whose
+//!   budget is nearly spent can change a verdict. [`assign`] rebuilds the
+//!   set in the O(k) pass that updates the sums, so a probe re-checks
+//!   O(|tight|) links instead of walking all k.
 //!
 //! Every screen carries a 10⁻⁹ relative margin — about six orders of
 //! magnitude beyond any floating-point rearrangement between a partial sum
 //! and the exact accumulation — and anything inside the margin band falls
-//! back to the exact O(k) computation, so **pruned and exact verdicts are
+//! back to the exact expressions (the candidate's O(k) sum, or the tight
+//! links' re-checks), so **pruned and exact verdicts are
 //! identical**, not merely close: [`SlotLedger::exact`] /
 //! [`ChannelSlotLedger::exact`] disable pruning and the
 //! `pruned_ledger_matches_exact_*` property tests pin decision-for-decision
@@ -182,16 +192,56 @@ enum PruningMode {
 }
 
 /// Spatial-pruning state of a [`SlotLedger`]: the far-field parameters, the
-/// endpoint bucket index, and the slot-wide SINR headroom that licenses
-/// skipping far links in the existing-links re-check.
+/// endpoint bucket index, and the tight set — the only assigned links whose
+/// verdict a far candidate can flip.
 #[derive(Debug, Clone)]
 struct Pruning {
     far: FarField,
     buckets: EndpointBuckets,
-    /// Minimum over assigned links and both handshake directions of the
-    /// cached SINR ratio `signal / (noise + interference)`; `+∞` when empty.
-    /// Maintained by [`SlotLedger::assign`]/[`SlotLedger::clear`].
-    min_sinr: f64,
+    /// Cached SINR ratio below which an assigned link is *tight*:
+    /// `β · (1 + unit/noise) · (1 + VERDICT_MARGIN)`.
+    tight_below: f64,
+    /// Ledger indices, in assignment order, of the assigned links whose data
+    /// or ACK ratio `signal / (noise + interference)` is below
+    /// [`tight_below`](Self::tight_below). Rebuilt by [`SlotLedger::assign`],
+    /// emptied by [`SlotLedger::clear`].
+    tight: Vec<u32>,
+}
+
+/// The single terminal outcome of one [`SlotLedger::can_add`] probe; each
+/// maps to one `ledger.outcome.*` counter, so the outcomes of a run sum to
+/// `ledger.probe.accept + ledger.probe.reject`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ProbeOutcome {
+    /// Self-link, or an endpoint already busy in the slot.
+    Endpoint,
+    /// The candidate misses β even without interference.
+    SoloFail,
+    /// A ring scan rejected: the near partial sum surely sinks the
+    /// candidate, or an in-disc link failed its exact re-check.
+    Scan,
+    /// The candidate's own handshake fails against the whole slot.
+    Candidate,
+    /// A tight link failed its exact re-check.
+    Tight,
+    /// An assigned link failed the exact walk of an unpruned ledger.
+    Existing,
+    /// Every check passed.
+    Accept,
+}
+
+impl ProbeOutcome {
+    fn counter(self) -> &'static str {
+        match self {
+            Self::Endpoint => "ledger.outcome.endpoint",
+            Self::SoloFail => "ledger.outcome.solo_fail",
+            Self::Scan => "ledger.outcome.scan",
+            Self::Candidate => "ledger.outcome.candidate",
+            Self::Tight => "ledger.outcome.tight",
+            Self::Existing => "ledger.outcome.existing",
+            Self::Accept => "ledger.outcome.accept",
+        }
+    }
 }
 
 /// Interference contribution of `interferer` transmitting towards `link`'s
@@ -272,10 +322,13 @@ impl<'a> SlotLedger<'a> {
                 // Half-cutoff cells keep the disc scan to a few rings while
                 // giving the ring-order early exit useful granularity.
                 let geometry = GridGeometry::covering(xs, ys, far.cutoff_m / 2.0);
+                let beta = env.config().sinr_threshold_linear();
+                let noise_mw = env.config().noise_floor_mw();
                 Pruning {
                     far,
                     buckets: EndpointBuckets::new(geometry),
-                    min_sinr: f64::INFINITY,
+                    tight_below: beta * (1.0 + far.unit_mw / noise_mw) * (1.0 + VERDICT_MARGIN),
+                    tight: Vec::new(),
                 }
             })
         };
@@ -339,7 +392,7 @@ impl<'a> SlotLedger<'a> {
         self.disjoint = true;
         if let Some(p) = &mut self.pruning {
             p.buckets.clear();
-            p.min_sinr = f64::INFINITY;
+            p.tight.clear();
         }
     }
 
@@ -393,19 +446,22 @@ impl<'a> SlotLedger<'a> {
     ///
     /// Equivalent to [`RadioEnvironment::can_add_to_slot`] on the assigned
     /// link list, but O(k) instead of O(k²) and allocation-free — and on a
-    /// default (pruned) ledger O(nearby) instead of O(k), with a verdict
-    /// identical to the exact computation (see the [module docs](self)).
+    /// default (pruned) ledger O(nearby + tight) instead of O(k), with a
+    /// verdict identical to the exact computation (see the
+    /// [module docs](self)). Each probe bumps exactly one
+    /// `ledger.outcome.*` counter and one of `ledger.probe.{accept,reject}`.
     pub fn can_add(&self, candidate: Link) -> bool {
         scream_obs::next_probe();
-        if candidate.head == candidate.tail || !self.endpoints_free(candidate) {
-            scream_obs::counter_add("ledger.probe.reject", 1);
-            scream_obs::counter_add("ledger.probe.reject_endpoint", 1);
-            return false;
-        }
-        let verdict = match &self.pruning {
-            Some(p) if !self.links.is_empty() => self.can_add_pruned(p, candidate),
-            _ => self.candidate_handshake_exact(candidate) && self.existing_ok_exact(candidate),
+        let outcome = if candidate.head == candidate.tail || !self.endpoints_free(candidate) {
+            ProbeOutcome::Endpoint
+        } else {
+            match &self.pruning {
+                Some(p) if !self.links.is_empty() => self.can_add_pruned(p, candidate),
+                _ => self.can_add_exact(candidate),
+            }
         };
+        scream_obs::counter_add(outcome.counter(), 1);
+        let verdict = outcome == ProbeOutcome::Accept;
         scream_obs::counter_add(
             if verdict {
                 "ledger.probe.accept"
@@ -415,6 +471,18 @@ impl<'a> SlotLedger<'a> {
             1,
         );
         verdict
+    }
+
+    /// The unpruned probe: the candidate's handshake, then every assigned
+    /// link's, summed exactly in assignment order.
+    fn can_add_exact(&self, candidate: Link) -> ProbeOutcome {
+        if !self.candidate_handshake_exact(candidate) {
+            ProbeOutcome::Candidate
+        } else if !(0..self.links.len()).all(|i| self.existing_ok_exact(i, candidate)) {
+            ProbeOutcome::Existing
+        } else {
+            ProbeOutcome::Accept
+        }
     }
 
     /// The candidate's own two-way handshake against the accumulated slot,
@@ -430,19 +498,27 @@ impl<'a> SlotLedger<'a> {
         )
     }
 
-    /// Every assigned link's handshake with the candidate's contribution
-    /// added on top of its cached interference sums.
-    fn existing_ok_exact(&self, candidate: Link) -> bool {
-        for (i, &link) in self.links.iter().enumerate() {
-            let data_extra = data_term(self.env, candidate.head, link).unwrap_or(0.0);
-            let ack_extra = ack_term(self.env, candidate.tail, link).unwrap_or(0.0);
-            if !self.meets_beta(self.data_signal[i], self.data_interference[i] + data_extra)
-                || !self.meets_beta(self.ack_signal[i], self.ack_interference[i] + ack_extra)
-            {
-                return false;
-            }
-        }
-        true
+    /// Assigned link `i`'s data-direction handshake with the candidate's
+    /// contribution added on top of its cached interference sum.
+    #[inline]
+    fn existing_data_ok(&self, i: usize, candidate: Link) -> bool {
+        let extra = data_term(self.env, candidate.head, self.links[i]).unwrap_or(0.0);
+        self.meets_beta(self.data_signal[i], self.data_interference[i] + extra)
+    }
+
+    /// Assigned link `i`'s ACK-direction handshake with the candidate's
+    /// contribution added on top of its cached interference sum.
+    #[inline]
+    fn existing_ack_ok(&self, i: usize, candidate: Link) -> bool {
+        let extra = ack_term(self.env, candidate.tail, self.links[i]).unwrap_or(0.0);
+        self.meets_beta(self.ack_signal[i], self.ack_interference[i] + extra)
+    }
+
+    /// Both handshake directions of assigned link `i` with the candidate
+    /// added — the exact re-check every screen falls back to.
+    #[inline]
+    fn existing_ok_exact(&self, i: usize, candidate: Link) -> bool {
+        self.existing_data_ok(i, candidate) && self.existing_ack_ok(i, candidate)
     }
 
     /// The spatially-pruned feasibility probe. Self-link and half-duplex
@@ -461,21 +537,23 @@ impl<'a> SlotLedger<'a> {
     /// * **accept** — `near + far_count × unit_mw` is an upper bound (the
     ///   far-field unit bounds every beyond-cutoff term), so clearing β by
     ///   the margin means the exact check passes too;
-    /// * **far-links skip** — every far link gains at most `unit_mw`
-    ///   interference, so when the worst cached SINR ratio exceeds
-    ///   `β · (1 + unit/noise)` by the margin, every far link's exact
-    ///   re-check passes; nearby links are re-checked with the exact
-    ///   expressions themselves;
+    /// * **in-disc links** — a link with an endpoint inside a cutoff disc
+    ///   gets that direction re-checked during the scan, with the exact
+    ///   expression the unpruned walk evaluates;
+    /// * **tight set** — every other direction gains at most `unit_mw`
+    ///   interference. A link whose cached ratios both clear
+    ///   `β · (1 + unit/noise)` by the margin therefore still meets β after
+    ///   the candidate joins, because `noise + I + unit ≤ (noise + I) ·
+    ///   (1 + unit/noise)`. Only the links below that bound — the tight set
+    ///   — are re-checked, both directions, with the exact expressions;
     /// * anything not decided by a screen falls through to the exact code.
-    fn can_add_pruned(&self, p: &Pruning, candidate: Link) -> bool {
+    fn can_add_pruned(&self, p: &Pruning, candidate: Link) -> ProbeOutcome {
         let data_signal = self.env.received_power_mw(candidate.head, candidate.tail);
         let ack_signal = self.env.received_power_mw(candidate.tail, candidate.head);
         // An interference-free failure fails a fortiori with interference.
         if !self.meets_beta(data_signal, 0.0) || !self.meets_beta(ack_signal, 0.0) {
-            return false;
+            return ProbeOutcome::SoloFail;
         }
-        let far_links_surely_ok = p.min_sinr
-            >= self.beta * (1.0 + p.far.unit_mw / self.noise_mw) * (1.0 + VERDICT_MARGIN);
 
         // Scan A — disc around the candidate's tail. In-disc *heads* feed
         // the candidate's data-direction near sum; each one's link also gets
@@ -487,10 +565,8 @@ impl<'a> SlotLedger<'a> {
             self.env.position(candidate.tail),
             true,
             data_signal,
-            far_links_surely_ok,
         ) else {
-            scream_obs::counter_add("ledger.prune.scan_reject", 1);
-            return false;
+            return ProbeOutcome::Scan;
         };
         // Scan B — disc around the candidate's head: in-disc *tails* feed
         // the ACK near sum and trigger their links' exact data re-checks.
@@ -500,37 +576,38 @@ impl<'a> SlotLedger<'a> {
             self.env.position(candidate.head),
             false,
             ack_signal,
-            far_links_surely_ok,
         ) else {
-            scream_obs::counter_add("ledger.prune.scan_reject", 1);
-            return false;
+            return ProbeOutcome::Scan;
         };
 
         let k = self.links.len();
         let data_upper = data_near_sum + (k - data_near_count) as f64 * p.far.unit_mw;
         let ack_upper = ack_near_sum + (k - ack_near_count) as f64 * p.far.unit_mw;
-        let candidate_ok = if self.surely_meets_beta(data_signal, data_upper)
+        if self.surely_meets_beta(data_signal, data_upper)
             && self.surely_meets_beta(ack_signal, ack_upper)
         {
             scream_obs::counter_add("ledger.farfield.accept", 1);
-            true
         } else {
             scream_obs::counter_add("ledger.exact.fallback", 1);
-            self.candidate_handshake_exact(candidate)
-        };
-        if !candidate_ok {
-            return false;
+            if !self.candidate_handshake_exact(candidate) {
+                return ProbeOutcome::Candidate;
+            }
         }
-        // Nearby links were re-checked during the scans (a failure returned
-        // early); far links are pre-cleared by the headroom screen, or the
-        // whole set is re-checked exactly.
-        if far_links_surely_ok {
+        // In-disc directions were re-checked during the scans (a failure
+        // returned early); outside the discs only the tight links can fail.
+        if p.tight.is_empty() {
             scream_obs::counter_add("ledger.farfield.skip_existing", 1);
-            true
-        } else {
-            scream_obs::counter_add("ledger.exact.fallback_existing", 1);
-            self.existing_ok_exact(candidate)
+            return ProbeOutcome::Accept;
         }
+        scream_obs::counter_add("ledger.exact.fallback_existing", 1);
+        for (n, &i) in p.tight.iter().enumerate() {
+            if !self.existing_ok_exact(i as usize, candidate) {
+                scream_obs::counter_add("ledger.tight.rechecked", n as u64 + 1);
+                return ProbeOutcome::Tight;
+            }
+        }
+        scream_obs::counter_add("ledger.tight.rechecked", p.tight.len() as u64);
+        ProbeOutcome::Accept
     }
 
     /// Ring-scans the bucket index over the cutoff disc at `center`,
@@ -538,8 +615,7 @@ impl<'a> SlotLedger<'a> {
     /// in-disc endpoints of role `want_head`, or `None` as soon as either
     /// the partial sum already surely rejects the candidate (checked after
     /// each Chebyshev ring, nearest — loudest — cells first) or an in-disc
-    /// link fails its exact margin re-check.
-    #[allow(clippy::too_many_arguments)]
+    /// link fails its exact re-check.
     fn scan_disc(
         &self,
         p: &Pruning,
@@ -547,10 +623,15 @@ impl<'a> SlotLedger<'a> {
         center: scream_topology::Point2,
         want_head: bool,
         signal_mw: f64,
-        check_in_disc_links: bool,
     ) -> Option<(f64, usize)> {
         let geometry = p.buckets.geometry();
         let rect = geometry.cells_intersecting(center, p.far.cutoff_m);
+        // The candidate endpoint the in-disc endpoints interfere with.
+        let receiver = if want_head {
+            candidate.tail
+        } else {
+            candidate.head
+        };
         let near_sum = Cell::new(0.0f64);
         let near_count = Cell::new(0usize);
         let link_failed = Cell::new(false);
@@ -572,39 +653,18 @@ impl<'a> SlotLedger<'a> {
                     if self.env.position(node).distance_squared(center) > p.far.cutoff_sq_m2 {
                         continue;
                     }
-                    near_sum.set(
-                        near_sum.get()
-                            + self.env.received_power_mw(node, {
-                                if want_head {
-                                    candidate.tail
-                                } else {
-                                    candidate.head
-                                }
-                            }),
-                    );
+                    near_sum.set(near_sum.get() + self.env.received_power_mw(node, receiver));
                     near_count.set(near_count.get() + 1);
-                    if check_in_disc_links {
-                        // Exact re-check of the disc link's opposite
-                        // direction — the same expression the exact
-                        // existing-links loop evaluates.
-                        let ok = if want_head {
-                            let ack_extra = ack_term(self.env, candidate.tail, link).unwrap_or(0.0);
-                            self.meets_beta(
-                                self.ack_signal[i],
-                                self.ack_interference[i] + ack_extra,
-                            )
-                        } else {
-                            let data_extra =
-                                data_term(self.env, candidate.head, link).unwrap_or(0.0);
-                            self.meets_beta(
-                                self.data_signal[i],
-                                self.data_interference[i] + data_extra,
-                            )
-                        };
-                        if !ok {
-                            link_failed.set(true);
-                            return;
-                        }
+                    // Exact re-check of the disc link's opposite direction —
+                    // the same expression the unpruned walk evaluates.
+                    let ok = if want_head {
+                        self.existing_ack_ok(i, candidate)
+                    } else {
+                        self.existing_data_ok(i, candidate)
+                    };
+                    if !ok {
+                        link_failed.set(true);
+                        return;
                     }
                 }
             },
@@ -650,16 +710,18 @@ impl<'a> SlotLedger<'a> {
                 self.env.position(link.head),
                 self.env.position(link.tail),
             );
-            // Every cached interference sum may have grown, so the slot-wide
-            // headroom is recomputed over the (just-updated) caches — an O(k)
-            // pass folded into the already-O(k) assign.
-            let mut min_sinr = f64::INFINITY;
+            // Every cached interference sum may have grown, so the tight set
+            // is rebuilt over the (just-updated) caches — an O(k) pass folded
+            // into the already-O(k) assign, in assignment order. A NaN ratio
+            // counts as tight, so it always takes the exact re-check.
+            p.tight.clear();
             for i in 0..self.links.len() {
-                min_sinr = min_sinr
-                    .min(self.data_signal[i] / (self.noise_mw + self.data_interference[i]))
-                    .min(self.ack_signal[i] / (self.noise_mw + self.ack_interference[i]));
+                let data = self.data_signal[i] / (self.noise_mw + self.data_interference[i]);
+                let ack = self.ack_signal[i] / (self.noise_mw + self.ack_interference[i]);
+                if !(data >= p.tight_below && ack >= p.tight_below) {
+                    p.tight.push(i as u32);
+                }
             }
-            p.min_sinr = min_sinr;
         }
     }
 

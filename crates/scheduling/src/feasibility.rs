@@ -22,9 +22,11 @@
 //!   O(k).
 //!
 //! Any other implementation gets a correct [`SlotAccumulator`] for free: the
-//! provided `open_slot` keeps the link list and re-checks candidates with
-//! [`can_add`](SlotFeasibility::can_add). Implementations must be
-//! *downward-closed* (every subset of a feasible set is feasible) for
+//! provided `open_slot` keeps the link list, re-checks candidates with
+//! [`can_add`](SlotFeasibility::can_add) and answers
+//! [`feasible`](SlotAccumulator::feasible) with
+//! [`slot_feasible`](SlotFeasibility::slot_feasible). Implementations must
+//! be *downward-closed* (every subset of a feasible set is feasible) for
 //! incremental building to coincide with whole-set feasibility; interference
 //! models are, since removing a transmitter can only reduce interference.
 
@@ -54,6 +56,11 @@ pub trait SlotAccumulator {
 
     /// The links assigned so far, in assignment order.
     fn links(&self) -> &[Link];
+
+    /// Whether the assigned links, taken as a whole, form a feasible slot.
+    /// The verifier assigns a whole pattern and asks this once instead of
+    /// probing link by link.
+    fn feasible(&self) -> bool;
 
     /// Number of links assigned so far.
     fn len(&self) -> usize {
@@ -241,6 +248,10 @@ impl<M: SlotFeasibility + ?Sized> SlotAccumulator for RecheckAccumulator<'_, M> 
     fn links(&self) -> &[Link] {
         &self.links
     }
+
+    fn feasible(&self) -> bool {
+        self.model.slot_feasible(&self.links)
+    }
 }
 
 /// Adapter exposing the netsim [`ChannelSlotLedger`] through the
@@ -300,6 +311,10 @@ impl SlotAccumulator for LedgerAccumulator<'_> {
 
     fn links(&self) -> &[Link] {
         self.ledger.links()
+    }
+
+    fn feasible(&self) -> bool {
+        self.ledger.slot_feasible()
     }
 }
 

@@ -447,16 +447,25 @@ impl Schedule {
     }
 
     /// Number of slots allocated to each link (on whatever channel) across
-    /// the whole schedule.
+    /// the whole schedule, in O(E log n) for `E` pattern entries and `n`
+    /// distinct links.
     pub fn allocation_counts(&self) -> BTreeMap<Link, u64> {
         let mut counts = BTreeMap::new();
+        let mut distinct = Vec::new();
         for (pattern, count) in &self.runs {
-            for (i, &link) in pattern.links().iter().enumerate() {
-                // A (degenerate) pattern may repeat a link on two channels;
-                // count the slot once per link, as the demand ledger does.
-                if pattern.links()[..i].contains(&link) {
-                    continue;
-                }
+            // A (degenerate) multi-channel pattern may repeat a link on two
+            // channels; count the slot once per link, as the demand ledger
+            // does. Single-channel patterns are sorted and deduplicated.
+            let links = if pattern.is_single_channel() {
+                pattern.links()
+            } else {
+                distinct.clear();
+                distinct.extend_from_slice(pattern.links());
+                distinct.sort_unstable();
+                distinct.dedup();
+                &distinct
+            };
+            for &link in links {
                 *counts.entry(link).or_insert(0) += count;
             }
         }

@@ -5,12 +5,20 @@
 //! and every link against its demand. The distributed protocols never get to
 //! "grade their own homework".
 //!
-//! Slots are re-built link by link through the model's stateful
-//! [`SlotAccumulator`](crate::feasibility::SlotAccumulator), so verification
-//! of a slot with `k` links costs O(k²) additions under the physical model
-//! (k probes of O(k) each) with no intermediate `Vec` cloning, and an
-//! infeasible slot is reported together with every link's SINR margin so the
-//! failing handshake direction is visible in the error itself.
+//! Each slot pattern is assigned whole into the model's stateful
+//! [`SlotAccumulator`](crate::feasibility::SlotAccumulator), which is then
+//! asked once whether the result is
+//! [`feasible`](crate::feasibility::SlotAccumulator::feasible). Under the
+//! physical model a slot with `k` links costs the `k` O(k) ledger assigns
+//! — O(k²) additions, no feasibility probes and no intermediate `Vec`
+//! cloning — and an infeasible slot is reported together with every link's
+//! SINR margin so the failing handshake direction is visible in the error
+//! itself.
+//!
+//! Demand accounting is O(E log n) for `E` pattern entries and `n` demanded
+//! links: one [`Schedule::allocation_counts`] pass gives every link's slot
+//! count, and [`LinkDemands::demand_of_link`] binary-searches the sorted
+//! demanded links.
 //!
 //! Verification walks the schedule's run-length form
 //! ([`Schedule::runs`]): every distinct consecutive slot pattern is checked
@@ -148,9 +156,10 @@ impl std::error::Error for ScheduleViolation {}
 /// violation (with margins) if the pattern is infeasible. `index` is the
 /// first slot the pattern occupies.
 ///
-/// Building incrementally is equivalent to checking the whole set because
-/// interference models are downward-closed — see the
-/// [`feasibility`](crate::feasibility) module docs.
+/// Asking once of the whole pattern gives the verdict probing it link by
+/// link would: interference models are downward-closed (see the
+/// [`feasibility`](crate::feasibility) module docs), and the ledger's float
+/// partial sums of non-negative terms only grow as links are assigned.
 fn check_slot<M: SlotFeasibility>(
     model: &M,
     accumulator: &mut (impl crate::feasibility::SlotAccumulator + ?Sized),
@@ -160,17 +169,17 @@ fn check_slot<M: SlotFeasibility>(
 ) -> Result<(), ScheduleViolation> {
     accumulator.clear();
     for &link in links {
-        if !accumulator.can_add(link) {
-            return Err(ScheduleViolation::InfeasibleSlot {
-                slot: index,
-                channel,
-                links: links.to_vec(),
-                margins: model.slot_margins(links),
-            });
-        }
         accumulator.assign(link);
     }
-    Ok(())
+    if accumulator.feasible() {
+        return Ok(());
+    }
+    Err(ScheduleViolation::InfeasibleSlot {
+        slot: index,
+        channel,
+        links: links.to_vec(),
+        margins: model.slot_margins(links),
+    })
 }
 
 /// Verifies that `schedule` satisfies `demands` exactly and that every slot
@@ -199,8 +208,9 @@ pub fn verify_schedule<M: SlotFeasibility>(
     // Every slot must be feasible.
     verify_slots_feasible(model, schedule)?;
     // Every demanded link must get exactly its demand.
+    let counts = schedule.allocation_counts();
     for (link, required) in demands.demanded_links() {
-        let allocated = schedule.allocated_to(link);
+        let allocated = counts.get(&link).copied().unwrap_or(0);
         if allocated != required {
             return Err(ScheduleViolation::DemandMismatch {
                 link,

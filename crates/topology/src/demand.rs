@@ -248,13 +248,16 @@ impl LinkDemands {
     }
 
     /// Aggregated demand on `link`, if `link` is one of the scheduled links.
+    /// O(log n): binary search over [`links`](Self::links), which both
+    /// constructors keep sorted.
     pub fn demand_of_link(&self, link: Link) -> Option<u64> {
         self.links
-            .contains(&link)
+            .binary_search(&link)
+            .is_ok()
             .then(|| self.aggregated[link.head.index()])
     }
 
-    /// The links to be scheduled, ordered by owner id.
+    /// The links to be scheduled, sorted (by owner id, then by parent).
     pub fn links(&self) -> &[Link] {
         &self.links
     }

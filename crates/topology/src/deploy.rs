@@ -49,7 +49,7 @@ impl Deployment {
     ///
     /// Returns [`TopologyError::EmptyDeployment`] if `nodes` is empty, or
     /// [`TopologyError::InvalidParameter`] if node ids are not the contiguous
-    /// range `0..n`.
+    /// range `0..n` or a node's position or transmit power is not finite.
     pub fn from_nodes(
         nodes: Vec<NodeInfo>,
         region: Rect,
@@ -64,6 +64,15 @@ impl Deployment {
                     "node at position {i} has id {}, expected contiguous ids 0..{}",
                     node.id,
                     nodes.len()
+                )));
+            }
+            let finite = node.position.x.is_finite()
+                && node.position.y.is_finite()
+                && node.tx_power_dbm.is_finite();
+            if !finite {
+                return Err(TopologyError::InvalidParameter(format!(
+                    "node {} has a non-finite position ({}, {}) or tx power {} dBm",
+                    node.id, node.position.x, node.position.y, node.tx_power_dbm
                 )));
             }
         }
@@ -499,6 +508,26 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn non_finite_positions_and_powers_are_rejected() {
+        let ok = Point2::new(0.0, 0.0);
+        for (position, power) in [
+            (Point2::new(f64::INFINITY, 0.0), 20.0),
+            (Point2::new(0.0, f64::NAN), 20.0),
+            (ok, f64::NEG_INFINITY),
+            (ok, f64::NAN),
+        ] {
+            let nodes = vec![
+                NodeInfo::new(NodeId::new(0), ok, 20.0),
+                NodeInfo::new(NodeId::new(1), position, power),
+            ];
+            assert!(matches!(
+                Deployment::from_nodes(nodes, Rect::square(100.0), DeploymentKind::Custom),
+                Err(TopologyError::InvalidParameter(_))
+            ));
+        }
+    }
 
     #[test]
     fn grid_has_row_major_positions() {

@@ -283,3 +283,31 @@ fn flows_with_demand(forest: &RoutingForest, demands: &DemandVector) -> usize {
         .filter(|(v, _)| demands.demand(*v) > 0)
         .count()
 }
+
+/// A node with a non-finite position or transmit power is refused when the
+/// deployment is built, so it never reaches the radio environment or the
+/// scheduler (a node at +∞ used to panic inside the spatial index of the
+/// pruned ledger).
+#[test]
+fn non_finite_nodes_are_refused_before_scheduling() {
+    let finite = [Point2::new(0.0, 0.0), Point2::new(150.0, 0.0)];
+    let region = Rect::square(300.0);
+    let at_infinity = [finite[0], finite[1], Point2::new(f64::INFINITY, 0.0)];
+    assert!(matches!(
+        Deployment::from_positions(&at_infinity, 20.0, region),
+        Err(TopologyError::InvalidParameter(_))
+    ));
+    for power in [f64::NAN, f64::INFINITY] {
+        assert!(matches!(
+            Deployment::from_positions(&finite, power, region),
+            Err(TopologyError::InvalidParameter(_))
+        ));
+    }
+    // The finite deployment itself schedules and verifies.
+    let deployment = Deployment::from_positions(&finite, 20.0, region).unwrap();
+    let env = RadioEnvironment::builder().build(&deployment);
+    let link = Link::new(NodeId::new(1), NodeId::new(0));
+    let demands = LinkDemands::from_links(2, &[(link, 2)]).unwrap();
+    let schedule = GreedyPhysical::paper_baseline().schedule(&env, &demands);
+    verify_schedule(&env, &schedule, &demands).unwrap();
+}

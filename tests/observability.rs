@@ -168,3 +168,50 @@ fn a_zero_capacity_ring_drops_events_but_keeps_the_registry() {
         "every event the full ring saw is counted as dropped"
     );
 }
+
+/// Every ledger probe ends in exactly one `ledger.outcome.*` counter, so the
+/// outcomes sum to `ledger.probe.accept + ledger.probe.reject` — on the
+/// exact ledgers a small greedy run uses and on a forced-pruned ledger fed
+/// every ordered node pair (self-links included).
+#[test]
+fn every_probe_has_exactly_one_outcome() {
+    let instance = paper_instance(7);
+    let (_, greedy) = observed(|| instance.run_centralized());
+    let (_, pruned) = observed(|| {
+        let mut ledger = SlotLedger::pruned(&instance.env);
+        let nodes = instance.deployment.len() as u32;
+        for head in 0..nodes {
+            for tail in 0..nodes {
+                let link = Link::new(NodeId::new(head), NodeId::new(tail));
+                if ledger.can_add(link) {
+                    ledger.assign(link);
+                }
+            }
+        }
+    });
+    for report in [&greedy, &pruned] {
+        let snapshot = &report.snapshot;
+        let probes =
+            snapshot.counter("ledger.probe.accept") + snapshot.counter("ledger.probe.reject");
+        let outcomes: u64 = snapshot
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("ledger.outcome."))
+            .map(|(_, &count)| count)
+            .sum();
+        assert!(probes > 0, "the run must probe the ledger");
+        assert_eq!(outcomes, probes, "{:?}", snapshot.counters);
+        assert_eq!(
+            snapshot.counter("ledger.outcome.accept"),
+            snapshot.counter("ledger.probe.accept")
+        );
+    }
+    // The pruned stream reaches the scan and tight-set stages.
+    let stages = &pruned.snapshot;
+    assert!(stages.counter("ledger.outcome.endpoint") > 0);
+    assert!(
+        stages.counter("ledger.farfield.skip_existing")
+            + stages.counter("ledger.exact.fallback_existing")
+            > 0
+    );
+}

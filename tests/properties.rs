@@ -51,6 +51,98 @@ fn build_connected_on_channels(
     Some((env, link_demands))
 }
 
+/// A physical model whose accumulators are spatially pruned ledgers
+/// regardless of the deployment's extent, so small instances exercise the
+/// pruned probe path too.
+struct PrunedPhysical<'a>(&'a RadioEnvironment);
+
+struct PrunedAccumulator<'a>(SlotLedger<'a>);
+
+impl SlotAccumulator for PrunedAccumulator<'_> {
+    fn can_add(&self, candidate: Link) -> bool {
+        self.0.can_add(candidate)
+    }
+
+    fn assign(&mut self, link: Link) {
+        self.0.assign(link);
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn links(&self) -> &[Link] {
+        self.0.links()
+    }
+
+    fn feasible(&self) -> bool {
+        self.0.slot_feasible()
+    }
+}
+
+impl SlotFeasibility for PrunedPhysical<'_> {
+    fn slot_feasible(&self, links: &[Link]) -> bool {
+        self.0.slot_feasible(links)
+    }
+
+    fn open_slot(&self) -> Box<dyn SlotAccumulator + '_> {
+        Box::new(PrunedAccumulator(SlotLedger::pruned(self.0)))
+    }
+
+    fn slot_margins(&self, links: &[Link]) -> Vec<LinkSinrMargin> {
+        SlotFeasibility::slot_margins(self.0, links)
+    }
+
+    fn channel_count(&self) -> usize {
+        self.0.channel_count()
+    }
+}
+
+/// The slot check `verify_slots_feasible` made before it verified whole
+/// patterns: each channel group is rebuilt through `can_add` → `assign`, and
+/// the first refused link reports the group. Kept as the oracle the
+/// whole-pattern check must match violation for violation.
+fn incremental_verify_slots<M: SlotFeasibility>(
+    model: &M,
+    schedule: &Schedule,
+) -> Result<(), ScheduleViolation> {
+    let channel_count = model.channel_count().max(1);
+    let mut accumulator = model.open_slot();
+    let mut t = 0usize;
+    for (pattern, count) in schedule.runs() {
+        if let Some(channel) = pattern
+            .channel_groups()
+            .map(|(c, _)| c)
+            .find(|c| c.index() >= channel_count)
+        {
+            return Err(ScheduleViolation::ChannelOutOfRange {
+                slot: t,
+                channel,
+                channel_count,
+            });
+        }
+        if let Some(node) = pattern.node_on_multiple_channels() {
+            return Err(ScheduleViolation::CrossChannelConflict { slot: t, node });
+        }
+        for (channel, links) in pattern.channel_groups() {
+            accumulator.clear();
+            for &link in links {
+                if !accumulator.can_add(link) {
+                    return Err(ScheduleViolation::InfeasibleSlot {
+                        slot: t,
+                        channel,
+                        links: links.to_vec(),
+                        margins: model.slot_margins(links),
+                    });
+                }
+                accumulator.assign(link);
+            }
+        }
+        t += count as usize;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -659,6 +751,97 @@ proptest! {
         }
     }
 
+    /// Verifying a whole slot pattern at once reports exactly what the old
+    /// incremental `can_add` → `assign` loop reported — the same violation
+    /// (slot, channel, links and margins) or none — on pruned and exact
+    /// ledgers, for random patterns that include infeasible link sets, forced
+    /// shared endpoints, self-links and several channels.
+    #[test]
+    fn whole_pattern_verification_matches_incremental_loop(
+        (nodes, seed) in (8usize..=24, 0u64..5000),
+        sigma_db in 0.0f64..8.0,
+        beta_db in 4.0f64..12.0,
+        channel_count in 1usize..=3,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x51ab);
+        let side = 150.0 * (nodes as f64).sqrt();
+        let deployment = UniformDeployment::new(nodes, side).build(&mut rng);
+        let env = RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .shadowing(sigma_db, seed)
+            .config(
+                scream::netsim::RadioConfig::mesh_default()
+                    .with_sinr_threshold_db(beta_db)
+                    .with_channel_count(channel_count),
+            )
+            .build(&deployment);
+        let node = |rng: &mut ChaCha8Rng| NodeId::new(rng.gen_range(0..nodes as u32));
+        let mut runs = Vec::new();
+        for _ in 0..rng.gen_range(1..=4usize) {
+            let mut entries: Vec<(ChannelId, Link)> = Vec::new();
+            // Half the patterns start from a greedily feasible core, so
+            // feasible groups (and groups one link past feasible) show up
+            // next to the mostly-infeasible random draws.
+            if rng.gen_bool(0.5) {
+                let mut core = SlotLedger::exact(&env);
+                for _ in 0..12 {
+                    let link = Link::new(node(&mut rng), node(&mut rng));
+                    if core.can_add(link) {
+                        core.assign(link);
+                    }
+                }
+                entries.extend(core.links().iter().map(|&l| (ChannelId::ZERO, l)));
+            }
+            for _ in 0..rng.gen_range(0..=5usize) {
+                let head = node(&mut rng);
+                let link = match rng.gen_range(0..6u32) {
+                    // A self-link.
+                    0 => Link::new(head, head),
+                    // A link forced to share an endpoint with an earlier one.
+                    1 if !entries.is_empty() => {
+                        let (_, other) = entries[rng.gen_range(0..entries.len())];
+                        Link::new(other.tail, node(&mut rng))
+                    }
+                    _ => Link::new(head, node(&mut rng)),
+                };
+                let channel = ChannelId::new(rng.gen_range(0..channel_count) as u16);
+                entries.push((channel, link));
+            }
+            runs.push((SlotPattern::from_entries(entries), rng.gen_range(1..=3u64)));
+        }
+        let schedule = Schedule::from_pattern_runs(runs);
+
+        let exact = ExactPhysical(&env);
+        let pruned = PrunedPhysical(&env);
+        let expected = incremental_verify_slots(&exact, &schedule);
+        prop_assert_eq!(&verify_slots_feasible(&exact, &schedule), &expected);
+        prop_assert_eq!(&incremental_verify_slots(&pruned, &schedule), &expected);
+        prop_assert_eq!(&verify_slots_feasible(&pruned, &schedule), &expected);
+        prop_assert_eq!(&verify_slots_feasible(&env, &schedule), &expected);
+    }
+
+    /// Both `LinkDemands` constructors keep `links` sorted (and duplicate
+    /// free), which the binary search in `demand_of_link` relies on.
+    #[test]
+    fn link_demands_constructors_keep_links_sorted((nodes, seed) in small_instance()) {
+        if let Some((_, aggregated)) = build_connected(nodes, seed) {
+            let links = aggregated.links();
+            prop_assert!(links.windows(2).all(|w| w[0] < w[1]), "{:?}", links);
+            let mut shuffled: Vec<(Link, u64)> = aggregated.demanded_links().collect();
+            shuffled.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+            let rebuilt = LinkDemands::from_links(nodes, &shuffled).unwrap();
+            prop_assert!(rebuilt.links().windows(2).all(|w| w[0] < w[1]));
+            for &link in links {
+                prop_assert_eq!(rebuilt.demand_of_link(link), aggregated.demand_of_link(link));
+                let reversed = Link::new(link.tail, link.head);
+                prop_assert_eq!(
+                    aggregated.demand_of_link(reversed),
+                    links.contains(&reversed).then(|| aggregated.demand_of(reversed.head))
+                );
+            }
+        }
+    }
+
     /// Fault injection is reproducible end to end: the same `ChurnConfig`
     /// and seed draw a byte-identical `ChurnTrace`, and replaying that trace
     /// through two fresh `ResilienceHarness` runs under the same run seed
@@ -878,5 +1061,85 @@ proptest! {
             loads
         };
         prop_assert_eq!(sorted_loads(&a), sorted_loads(&b));
+    }
+}
+
+/// Builds a four-node line: link A = (0 → 1) whose solo SINR sits `slack`
+/// (relative) above β, and a short candidate link C = (2 → 3) placed
+/// `gap_m` beyond A's tail, so with `gap_m` past the far-field cutoff
+/// neither of A's receivers lies inside C's cutoff discs.
+fn tight_line(slack: f64, gap_m: f64) -> (RadioEnvironment, f64) {
+    let build = |positions: &[Point2]| {
+        let side = positions.iter().map(|p| p.x).fold(1.0, f64::max);
+        let deployment = Deployment::from_positions(positions, 20.0, Rect::square(side)).unwrap();
+        RadioEnvironment::builder()
+            .propagation(PropagationModel::log_distance(3.0))
+            .build(&deployment)
+    };
+    let (a, b) = (NodeId::new(0), NodeId::new(1));
+    let ratio = |env: &RadioEnvironment| {
+        env.received_power_mw(a, b)
+            / env.config().noise_floor_mw()
+            / env.config().sinr_threshold_linear()
+    };
+    // Bisect A's length until its noise-only SINR is β · (1 + slack).
+    let (mut near, mut far) = (1.0f64, 1.0e5f64);
+    for _ in 0..200 {
+        let mid = 0.5 * (near + far);
+        let env = build(&[Point2::new(0.0, 0.0), Point2::new(mid, 0.0)]);
+        if ratio(&env) > 1.0 + slack {
+            near = mid;
+        } else {
+            far = mid;
+        }
+    }
+    let length = near;
+    let tail_x = length + gap_m;
+    let env = build(&[
+        Point2::new(0.0, 0.0),
+        Point2::new(length, 0.0),
+        Point2::new(tail_x, 0.0),
+        Point2::new(tail_x + 50.0, 0.0),
+    ]);
+    let achieved = ratio(&env) - 1.0;
+    (env, achieved)
+}
+
+/// The tight-set re-check decides the verdict: link A's cached SINR sits
+/// within `unit/noise` of β, and the candidate's endpoints lie just past
+/// the far-field cutoff, so no ring scan sees A — only the tight re-check
+/// can catch (or clear) it. Pruned and exact ledgers must agree either way.
+#[test]
+fn tight_set_recheck_decides_far_candidates() {
+    let a = Link::new(NodeId::new(0), NodeId::new(1));
+    let c = Link::new(NodeId::new(2), NodeId::new(3));
+    for (gap_factor, expect_accept) in [(1.0 + 1e-6, false), (4.0, true)] {
+        // The cutoff only depends on the radio parameters, not positions.
+        let cutoff = tight_line(5e-5, 1.0).0.far_field().cutoff_m;
+        let (env, slack) = tight_line(5e-5, cutoff * gap_factor);
+        let far = env.far_field();
+        let unit_over_noise = far.unit_mw / env.config().noise_floor_mw();
+        assert!(
+            slack > 0.0 && slack < unit_over_noise,
+            "A must be feasible and tight: slack {slack}, unit/noise {unit_over_noise}"
+        );
+        let mut pruned = SlotLedger::pruned(&env);
+        let mut exact = SlotLedger::exact(&env);
+        pruned.assign(a);
+        exact.assign(a);
+        scream::obs::install();
+        let pruned_verdict = pruned.can_add(c);
+        let report = scream::obs::uninstall().expect("installed above");
+        assert_eq!(pruned_verdict, exact.can_add(c), "gap factor {gap_factor}");
+        assert_eq!(pruned_verdict, expect_accept, "gap factor {gap_factor}");
+        let counters = &report.snapshot;
+        assert!(counters.counter("ledger.tight.rechecked") > 0);
+        assert_eq!(counters.counter("ledger.exact.fallback_existing"), 1);
+        assert_eq!(
+            counters.counter("ledger.outcome.tight"),
+            u64::from(!expect_accept),
+            "the tight re-check, not a scan, must decide the reject"
+        );
+        assert_eq!(counters.counter("ledger.outcome.scan"), 0);
     }
 }
