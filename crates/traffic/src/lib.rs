@@ -22,6 +22,10 @@
 //!   verdict](StabilityVerdict) — offered load strictly below every link's
 //!   per-frame service share sustains the load; anything else saturates.
 //!
+//! The one packet simulator is [`TrafficSession`]: the engine advances a
+//! path-routed session once over its horizon, while fault-aware callers
+//! drive [`ForwardingTable`]-routed sessions segment by segment.
+//!
 //! # Example: the stability knee on a two-slot frame
 //!
 //! ```

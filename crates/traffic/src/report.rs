@@ -1,6 +1,8 @@
 //! The measurement side of a traffic run: throughput, delay percentiles,
 //! backlog and the stability verdict.
 
+use std::collections::BTreeMap;
+
 use serde::Serialize;
 
 use scream_netsim::SimTime;
@@ -113,6 +115,45 @@ impl StabilityVerdict {
     }
 }
 
+/// Per-link offered load vs. service share over `routes` — `(mean rate,
+/// links)` pairs — and the resulting analytic stability verdict. A route
+/// loads each *distinct* link on it once, and links keep first-appearance
+/// order.
+pub(crate) fn link_loads<R: IntoIterator<Item = Link>>(
+    routes: impl IntoIterator<Item = (f64, R)>,
+    share: impl Fn(Link) -> f64,
+) -> (Vec<LinkLoad>, StabilityVerdict) {
+    // BTreeMap so no hash-ordered container feeds the verdict (D1.iter).
+    let mut index: BTreeMap<Link, usize> = BTreeMap::new();
+    let mut loads: Vec<LinkLoad> = Vec::new();
+    // The last route that loaded each link, so a route loads it once.
+    let mut loaded_by: Vec<usize> = Vec::new();
+    for (r, (rate, route)) in routes.into_iter().enumerate() {
+        for link in route {
+            let i = *index.entry(link).or_insert_with(|| {
+                loads.push(LinkLoad {
+                    link,
+                    offered_per_slot: 0.0,
+                    service_share: share(link),
+                });
+                loaded_by.push(usize::MAX);
+                loads.len() - 1
+            });
+            if loaded_by[i] != r {
+                loaded_by[i] = r;
+                loads[i].offered_per_slot += rate;
+            }
+        }
+    }
+    let bottlenecks: Vec<LinkLoad> = loads.iter().filter(|l| !l.is_stable()).copied().collect();
+    let verdict = if bottlenecks.is_empty() {
+        StabilityVerdict::Stable
+    } else {
+        StabilityVerdict::Overloaded { bottlenecks }
+    };
+    (loads, verdict)
+}
+
 /// The result of one [`TrafficEngine`](crate::TrafficEngine) run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrafficReport {
@@ -215,6 +256,20 @@ mod tests {
         let stats = DelayStats::from_delays(Vec::new());
         assert_eq!(stats.count, 0);
         assert_eq!(stats.max_slots, 0.0);
+    }
+
+    #[test]
+    fn a_route_loads_each_distinct_link_once_in_first_appearance_order() {
+        let (a, b) = (
+            Link::new(NodeId::new(1), NodeId::new(0)),
+            Link::new(NodeId::new(0), NodeId::new(1)),
+        );
+        let routes = [(0.25, vec![a, b, a]), (0.5, vec![b])];
+        let (loads, verdict) = link_loads(routes, |_| 1.0);
+        let offered: Vec<(Link, f64)> =
+            loads.iter().map(|l| (l.link, l.offered_per_slot)).collect();
+        assert_eq!(offered, vec![(a, 0.25), (b, 0.75)]);
+        assert!(verdict.is_stable());
     }
 
     #[test]

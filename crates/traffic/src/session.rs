@@ -1,12 +1,11 @@
-//! Resumable, fault-aware traffic simulation: the epoch-driven counterpart
-//! of [`TrafficEngine`](crate::TrafficEngine).
+//! The packet simulator: a resumable, fault-aware run of FIFO per-link
+//! queues served by a repeating TDMA frame.
 //!
-//! [`TrafficSession`] simulates the same packet model as the engine — FIFO
-//! per-link queues served by a repeating TDMA frame, event-driven, seeded
-//! arrivals — but in **segments**: [`advance`](TrafficSession::advance) runs
-//! the clock forward a given number of slots and returns, leaving queues,
-//! arrival samplers and in-flight packets intact so the caller can mutate
-//! the world between segments:
+//! [`TrafficSession`] is the workspace's one packet-level simulator. It runs
+//! in **segments**: [`advance`](TrafficSession::advance) runs the clock
+//! forward a given number of slots and returns, leaving queues, arrival
+//! samplers and in-flight packets intact so the caller can mutate the world
+//! between segments:
 //!
 //! * [`fail_link`](TrafficSession::fail_link) /
 //!   [`restore_link`](TrafficSession::restore_link) — a dead link stops
@@ -24,26 +23,35 @@
 //!   controller's lever: a paused source injects nothing, and resuming
 //!   fast-forwards its arrival process past the paused interval.
 //!
-//! Routing is by **forwarding table** (one uplink per node, gateway sinks),
-//! the hop-by-hop reading of a
-//! [`RoutingForest`](scream_topology::RoutingForest) — which is what makes
-//! online rerouting well-defined for packets already mid-path. With a fixed
-//! frame, fixed routes and no faults, a session over one uninterrupted
-//! segment reproduces the engine's aggregate measurements exactly (pinned by
-//! the `session_matches_engine_*` tests), and segmentation itself is
-//! transparent: departure assignments are FIFO-reconstructed from the queue
-//! state at every segment start, which yields the same slots a continuous
-//! run would have assigned.
+//! Packets follow either explicit per-source link paths, resolved to link
+//! indices once at construction — how [`TrafficEngine`](crate::TrafficEngine)
+//! runs a [`FlowSet`], as one segment over its horizon — or a hop-by-hop
+//! forwarding table, the reading of a
+//! [`RoutingForest`](scream_topology::RoutingForest) that makes rerouting
+//! well-defined for packets already mid-path.
+//!
+//! The simulation is event-driven, never slot-driven: the only events are
+//! arrivals and per-hop departures. Service is FIFO, so a packet's
+//! departure slot is fixed when it joins a queue — the next scheduled slot
+//! at or after both its ready slot and the slot its predecessor left the
+//! server — which [`FrameService::next_service_slot`] answers in
+//! O(log #windows). A segment costs O(packet-hops · log #windows + events),
+//! whatever the frame's slot count. Segmentation is transparent: departure
+//! assignments are FIFO-reconstructed from the queue state at every segment
+//! start, which yields the slots a continuous run would have assigned.
+//! Arrivals are seeded per source and the event queue breaks timestamp ties
+//! in scheduling order, so the same inputs replay the same run.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use scream_netsim::{EventQueue, SimTime};
 use scream_scheduling::FrameService;
 use scream_topology::{Link, NodeId, RoutingForest};
 
 use crate::engine::{TrafficConfig, TrafficError};
-use crate::flow::{ArrivalProcess, ArrivalSampler};
-use crate::report::{DelayStats, LinkLoad, StabilityVerdict};
+use crate::flow::{ArrivalProcess, ArrivalSampler, FlowSet};
+use crate::report::{self, DelayStats, LinkLoad, StabilityVerdict};
 
 /// Hop-by-hop routing state: each node's uplink toward its gateway, plus
 /// which nodes are sinks (gateways). Built from a routing forest — including
@@ -114,13 +122,36 @@ pub struct Source {
     pub arrival: ArrivalProcess,
 }
 
-/// A packet in a session queue.
+/// How a session picks each packet's next link.
+#[derive(Debug)]
+enum Routing {
+    /// Source `i` sends along a fixed path; `hops[i][h]` is the registry
+    /// index of its `h`-th link, resolved once so forwarding needs no lookup.
+    Paths { hops: Vec<Vec<u32>> },
+    /// Hop-by-hop forwarding on a table.
+    Table(ForwardingTable),
+}
+
+/// Where a packet goes next.
+enum Step {
+    /// Join the queue of the link with this registry index.
+    Forward(u32),
+    /// Leave the network at its destination.
+    Deliver,
+    /// Nowhere to go: the packet is lost.
+    Drop,
+}
+
+/// A packet in a session queue: its source, how many links it has crossed,
+/// and when it was created.
 #[derive(Debug, Clone, Copy)]
 struct SessionPacket {
+    source: u32,
+    hop: u32,
     created: SimTime,
 }
 
-/// Per-link FIFO queue plus the TDMA server cursor, as in the engine.
+/// Per-link FIFO queue plus the TDMA server cursor.
 #[derive(Debug, Default)]
 struct SessionQueue {
     queue: VecDeque<SessionPacket>,
@@ -150,8 +181,6 @@ pub struct SegmentReport {
     pub dropped: u64,
     /// In-flight packets when the segment ended.
     pub backlog_end: u64,
-    /// End-to-end delay stats over the segment's delivered packets.
-    pub delay: DelayStats,
 }
 
 impl SegmentReport {
@@ -186,13 +215,14 @@ pub struct SessionTotals {
 /// The resumable traffic simulation. See the module docs.
 #[derive(Debug)]
 pub struct TrafficSession {
-    frame: FrameService,
+    frame: Arc<FrameService>,
     /// Absolute slot at which `frame` was installed (its slot 0).
     frame_epoch: u64,
-    routes: ForwardingTable,
+    routing: Routing,
     sources: Vec<Source>,
     samplers: Vec<ArrivalSampler>,
-    /// Next undelivered arrival instant per source, in absolute slots.
+    /// Per source, an arrival instant (absolute slots) drawn past the end of
+    /// an earlier segment and not yet scheduled.
     pending_arrival: Vec<Option<f64>>,
     paused: Vec<bool>,
     /// Link registry: stable indices across frame swaps and reroutes.
@@ -208,11 +238,10 @@ pub struct TrafficSession {
 
 impl TrafficSession {
     /// Creates a session serving `sources` over `routes` with the repeating
-    /// `frame`. Sources are seeded exactly like the engine's flows: source
-    /// `i` gets `config.seed + i · φ` (so a session built from a forest's
-    /// flow order reproduces the engine's arrival streams). The
-    /// `horizon_frames` field of `config` is ignored — the caller paces the
-    /// session with [`advance`](Self::advance).
+    /// `frame`. Source `i` draws its arrivals from seed `config.seed + i · φ`
+    /// — the seeding of flow `i` in a [`TrafficEngine`](crate::TrafficEngine)
+    /// run. The `horizon_frames` field of `config` is ignored — the caller
+    /// paces the session with [`advance`](Self::advance).
     ///
     /// # Errors
     ///
@@ -234,6 +263,51 @@ impl TrafficSession {
         if config.slot_duration == SimTime::ZERO {
             return Err(TrafficError::ZeroSlotDuration);
         }
+        Ok(Self::build(
+            Arc::new(frame),
+            sources,
+            Routing::Table(routes),
+            config,
+        ))
+    }
+
+    /// A session sending flow `i`'s packets along its explicit route, with
+    /// the route links registered in first-appearance order. The caller has
+    /// validated the frame, flows and slot duration.
+    pub(crate) fn on_paths(
+        frame: Arc<FrameService>,
+        flows: &FlowSet,
+        config: TrafficConfig,
+    ) -> Self {
+        let sources = flows
+            .flows()
+            .iter()
+            .map(|flow| Source {
+                node: flow.source,
+                arrival: flow.arrival,
+            })
+            .collect();
+        let mut session = Self::build(frame, sources, Routing::Paths { hops: Vec::new() }, config);
+        let hops = flows
+            .flows()
+            .iter()
+            .map(|flow| {
+                flow.route
+                    .iter()
+                    .map(|&link| session.link_idx(link))
+                    .collect()
+            })
+            .collect();
+        session.routing = Routing::Paths { hops };
+        session
+    }
+
+    fn build(
+        frame: Arc<FrameService>,
+        sources: Vec<Source>,
+        routing: Routing,
+        config: TrafficConfig,
+    ) -> Self {
         let samplers = sources
             .iter()
             .enumerate()
@@ -246,10 +320,10 @@ impl TrafficSession {
             .collect();
         let pending_arrival = vec![None; sources.len()];
         let paused = vec![false; sources.len()];
-        Ok(Self {
+        Self {
             frame,
             frame_epoch: 0,
-            routes,
+            routing,
             samplers,
             pending_arrival,
             paused,
@@ -262,7 +336,7 @@ impl TrafficSession {
             slot_duration: config.slot_duration,
             totals: SessionTotals::default(),
             delays_slots: Vec::new(),
-        })
+        }
     }
 
     /// The current absolute slot (start of the next segment).
@@ -275,9 +349,17 @@ impl TrafficSession {
         &self.frame
     }
 
-    /// The current forwarding table.
+    /// The current forwarding table (empty while the session routes along
+    /// explicit paths).
     pub fn routes(&self) -> &ForwardingTable {
-        &self.routes
+        static NO_TABLE: ForwardingTable = ForwardingTable {
+            next_hop: Vec::new(),
+            sink: Vec::new(),
+        };
+        match &self.routing {
+            Routing::Table(table) => table,
+            Routing::Paths { .. } => &NO_TABLE,
+        }
     }
 
     /// Cumulative counters since the session started.
@@ -290,14 +372,18 @@ impl TrafficSession {
         DelayStats::from_delays(self.delays_slots.clone())
     }
 
+    /// [`delay`](Self::delay) without copying the samples.
+    pub(crate) fn into_delay(self) -> DelayStats {
+        DelayStats::from_delays(self.delays_slots)
+    }
+
     fn link_idx(&mut self, link: Link) -> u32 {
-        if let Some(&idx) = self.link_index.get(&link) {
-            return idx;
+        let next = self.links.len() as u32;
+        let idx = *self.link_index.entry(link).or_insert(next);
+        if idx == next {
+            self.links.push(link);
+            self.queues.push(SessionQueue::default());
         }
-        let idx = self.links.len() as u32;
-        self.links.push(link);
-        self.queues.push(SessionQueue::default());
-        self.link_index.insert(link, idx);
         idx
     }
 
@@ -332,7 +418,7 @@ impl TrafficSession {
         if frame.is_empty() {
             return Err(TrafficError::EmptyFrame);
         }
-        self.frame = frame;
+        self.frame = Arc::new(frame);
         self.frame_epoch = self.now_slot;
         for queue in &mut self.queues {
             queue.cursor = None;
@@ -344,7 +430,7 @@ impl TrafficSession {
     /// Installs a new forwarding table. Packets already in flight follow it
     /// from their current position at their next hop.
     pub fn set_routes(&mut self, routes: ForwardingTable) {
-        self.routes = routes;
+        self.routing = Routing::Table(routes);
     }
 
     /// Pauses a source (admission control): it injects nothing until
@@ -406,7 +492,7 @@ impl TrafficSession {
             }
             let packets: Vec<SessionPacket> = self.queues[idx].queue.drain(..).collect();
             self.queues[idx].cursor = None;
-            let target = self.routes.next_hop(link.head).filter(|&t| t != link);
+            let target = self.routes().next_hop(link.head).filter(|&t| t != link);
             match target {
                 Some(target) => {
                     let tidx = self.link_idx(target) as usize;
@@ -428,44 +514,30 @@ impl TrafficSession {
         (rescued, dropped)
     }
 
-    /// Per-link offered load vs. service share under the **current** table,
+    /// Per-link offered load vs. service share under the **current** routes,
     /// frame, fault state and pause state, with the analytic stability
     /// verdict. Dead links count as zero service, so any offered load on
     /// them is an infinite bottleneck.
     pub fn analytic_loads(&self) -> (Vec<LinkLoad>, StabilityVerdict) {
-        // Report path: BTreeMap so no hash-ordered container feeds the
-        // verdict, even though this index is lookup-only (D1.iter).
-        let mut index: BTreeMap<Link, usize> = BTreeMap::new();
-        let mut loads: Vec<LinkLoad> = Vec::new();
-        for (i, source) in self.sources.iter().enumerate() {
-            if self.paused[i] {
-                continue;
+        let share = |link| {
+            if self.is_link_dead(link) {
+                0.0
+            } else {
+                self.frame.service_share(link)
             }
-            let rate = source.arrival.mean_rate();
-            for link in self.routes.path_links(source.node) {
-                let entry = *index.entry(link).or_insert_with(|| {
-                    let share = if self.is_link_dead(link) {
-                        0.0
-                    } else {
-                        self.frame.service_share(link)
-                    };
-                    loads.push(LinkLoad {
-                        link,
-                        offered_per_slot: 0.0,
-                        service_share: share,
-                    });
-                    loads.len() - 1
-                });
-                loads[entry].offered_per_slot += rate;
-            }
-        }
-        let bottlenecks: Vec<LinkLoad> = loads.iter().filter(|l| !l.is_stable()).copied().collect();
-        let verdict = if bottlenecks.is_empty() {
-            StabilityVerdict::Stable
-        } else {
-            StabilityVerdict::Overloaded { bottlenecks }
         };
-        (loads, verdict)
+        let active = (0..self.sources.len()).filter(|&i| !self.paused[i]);
+        let rate = |i: usize| self.sources[i].arrival.mean_rate();
+        match &self.routing {
+            Routing::Paths { hops } => report::link_loads(
+                active.map(|i| (rate(i), hops[i].iter().map(|&h| self.links[h as usize]))),
+                share,
+            ),
+            Routing::Table(table) => report::link_loads(
+                active.map(|i| (rate(i), table.path_links(self.sources[i].node))),
+                share,
+            ),
+        }
     }
 
     /// `FrameService::next_service_slot` in absolute session slots: the
@@ -477,9 +549,10 @@ impl TrafficSession {
             .map(|n| (n.slot + self.frame_epoch, n.capacity))
     }
 
-    /// Assigns the departure slot for a packet joining `link`'s queue with
-    /// the given ready slot — the engine's cursor logic, in absolute slots.
-    /// `None` for dead links and links the frame never serves.
+    /// Assigns the departure slot for a packet joining `link`'s FIFO queue
+    /// with the given ready slot, honoring per-slot service capacity.
+    /// `None` for dead links and links the frame never serves (the packet
+    /// waits until the link returns or is rescued).
     fn assign_departure(&mut self, link_idx: u32, ready: u64) -> Option<u64> {
         let link = self.links[link_idx as usize];
         if self.queues[link_idx as usize].dead {
@@ -501,17 +574,17 @@ impl TrafficSession {
         Some(next)
     }
 
-    fn enqueue(
+    /// Assigns the next departure from `link_idx` for a packet ready at
+    /// slot `ready` and schedules its event (at the end of the assigned
+    /// slot) if it falls inside the segment.
+    fn schedule_departure(
         &mut self,
         queue: &mut EventQueue<SessionEvent>,
         end: SimTime,
         link_idx: u32,
-        packet: SessionPacket,
         ready: u64,
     ) {
-        let departure = self.assign_departure(link_idx, ready);
-        self.queues[link_idx as usize].queue.push_back(packet);
-        if let Some(slot) = departure {
+        if let Some(slot) = self.assign_departure(link_idx, ready) {
             let at = self.slot_duration.saturating_mul(slot + 1);
             if at <= end {
                 queue.schedule(at, SessionEvent::Departure { link: link_idx });
@@ -519,91 +592,78 @@ impl TrafficSession {
         }
     }
 
-    fn ready_slot(&self, time: SimTime) -> u64 {
-        time.as_nanos().div_ceil(self.slot_ns)
-    }
-
-    fn schedule_next_arrival(
+    /// Schedules `source`'s arrival drawn at `slots`, or keeps it pending
+    /// for a later segment when it falls at or past `end`.
+    fn schedule_arrival(
         &mut self,
         queue: &mut EventQueue<SessionEvent>,
         end: SimTime,
         source: u32,
+        slots: f64,
     ) {
-        let i = source as usize;
-        let slots = match self.pending_arrival[i] {
-            Some(slots) => slots,
-            None => {
-                let drawn = self.samplers[i].next_arrival_slots();
-                self.pending_arrival[i] = Some(drawn);
-                drawn
-            }
-        };
         let at = SimTime::from_nanos((slots * self.slot_ns as f64).round() as u64);
         if at < end {
             queue.schedule(at.max(queue.now()), SessionEvent::Arrival { source });
+        } else {
+            self.pending_arrival[source as usize] = Some(slots);
         }
     }
 
-    fn handle(
+    /// Where `packet` goes after crossing link `from`, or at injection when
+    /// `from` is `None`.
+    fn next_step(&mut self, packet: SessionPacket, from: Option<u32>) -> Step {
+        let link = match (&self.routing, from) {
+            (Routing::Paths { hops }, _) => {
+                return match hops[packet.source as usize].get(packet.hop as usize) {
+                    Some(&idx) => Step::Forward(idx),
+                    None => Step::Deliver,
+                };
+            }
+            (Routing::Table(table), None) => {
+                table.next_hop(self.sources[packet.source as usize].node)
+            }
+            (Routing::Table(table), Some(from)) => {
+                let node = self.links[from as usize].tail;
+                if table.is_sink(node) {
+                    return Step::Deliver;
+                }
+                table.next_hop(node)
+            }
+        };
+        match link {
+            Some(link) => Step::Forward(self.link_idx(link)),
+            None => Step::Drop,
+        }
+    }
+
+    /// Moves an in-flight `packet` that crossed link `from` (or was just
+    /// injected) at time `now` on to its next queue, out of the network, or
+    /// to the drop count.
+    fn forward(
         &mut self,
         queue: &mut EventQueue<SessionEvent>,
         end: SimTime,
-        event: SessionEvent,
+        packet: SessionPacket,
+        from: Option<u32>,
         now: SimTime,
-        segment: &mut SegmentReport,
     ) {
-        match event {
-            SessionEvent::Arrival { source } => {
-                self.pending_arrival[source as usize] = None;
-                let node = self.sources[source as usize].node;
-                match self.routes.next_hop(node) {
-                    Some(first) => {
-                        self.totals.injected += 1;
-                        self.totals.in_flight += 1;
-                        self.totals.peak_backlog =
-                            self.totals.peak_backlog.max(self.totals.in_flight);
-                        segment.injected += 1;
-                        let idx = self.link_idx(first);
-                        let packet = SessionPacket { created: now };
-                        self.enqueue(queue, end, idx, packet, self.ready_slot(now));
-                    }
-                    None => {
-                        // A cut-off source: the packet is lost at injection.
-                        self.totals.injected += 1;
-                        self.totals.dropped += 1;
-                        segment.injected += 1;
-                        segment.dropped += 1;
-                    }
-                }
-                self.schedule_next_arrival(queue, end, source);
+        match self.next_step(packet, from) {
+            Step::Forward(idx) => {
+                self.queues[idx as usize].queue.push_back(packet);
+                // Ready for the first slot starting at or after `now`.
+                let ready = now.as_nanos().div_ceil(self.slot_ns);
+                self.schedule_departure(queue, end, idx, ready);
             }
-            SessionEvent::Departure { link } => {
-                let packet = self.queues[link as usize]
-                    .queue
-                    .pop_front()
-                    .expect("departure events match queued packets one to one");
-                let node = self.links[link as usize].tail;
-                if self.routes.is_sink(node) {
-                    self.totals.delivered += 1;
-                    self.totals.in_flight -= 1;
-                    segment.delivered += 1;
-                    let delay = now.saturating_sub(packet.created);
-                    let slots = delay.as_nanos() as f64 / self.slot_ns as f64;
-                    self.delays_slots.push(slots);
-                    segment_push_delay(segment, slots);
-                } else {
-                    match self.routes.next_hop(node) {
-                        Some(next) => {
-                            let idx = self.link_idx(next);
-                            self.enqueue(queue, end, idx, packet, self.ready_slot(now));
-                        }
-                        None => {
-                            self.totals.dropped += 1;
-                            self.totals.in_flight -= 1;
-                            segment.dropped += 1;
-                        }
-                    }
-                }
+            Step::Deliver => {
+                self.totals.delivered += 1;
+                self.totals.in_flight -= 1;
+                let delay = now.saturating_sub(packet.created);
+                self.delays_slots
+                    .push(delay.as_nanos() as f64 / self.slot_ns as f64);
+            }
+            Step::Drop => {
+                self.totals.dropped += 1;
+                self.totals.in_flight -= 1;
             }
         }
     }
@@ -616,15 +676,7 @@ impl TrafficSession {
         let start_slot = self.now_slot;
         let end_slot = start_slot + slots;
         let end = self.slot_duration.saturating_mul(end_slot);
-        let mut segment = SegmentReport {
-            start_slot,
-            end_slot,
-            injected: 0,
-            delivered: 0,
-            dropped: 0,
-            backlog_end: 0,
-            delay: DelayStats::default(),
-        };
+        let before = self.totals;
         let mut queue: EventQueue<SessionEvent> = EventQueue::new();
 
         // Reconstruct departure assignments for everything queued: reset
@@ -635,30 +687,54 @@ impl TrafficSession {
         for idx in 0..self.links.len() as u32 {
             let backlog = self.queues[idx as usize].queue.len();
             for _ in 0..backlog {
-                if let Some(slot) = self.assign_departure(idx, start_slot) {
-                    let at = self.slot_duration.saturating_mul(slot + 1);
-                    if at <= end {
-                        queue.schedule(at, SessionEvent::Departure { link: idx });
-                    }
-                }
+                self.schedule_departure(&mut queue, end, idx, start_slot);
             }
         }
         // Arm arrivals for every unpaused source.
         for i in 0..self.sources.len() as u32 {
             if !self.paused[i as usize] {
-                self.schedule_next_arrival(&mut queue, end, i);
+                let slots = match self.pending_arrival[i as usize].take() {
+                    Some(slots) => slots,
+                    None => self.samplers[i as usize].next_arrival_slots(),
+                };
+                self.schedule_arrival(&mut queue, end, i, slots);
             }
         }
 
-        queue.run_until(end, |q, ev| {
-            // Split-borrow dance: `handle` needs `&mut self` and the report.
-            let event = ev.event;
-            let time = ev.time;
-            self.handle(q, end, event, time, &mut segment);
+        queue.run_until(end, |q, ev| match ev.event {
+            SessionEvent::Arrival { source } => {
+                self.totals.injected += 1;
+                self.totals.in_flight += 1;
+                let packet = SessionPacket {
+                    source,
+                    hop: 0,
+                    created: ev.time,
+                };
+                self.forward(q, end, packet, None, ev.time);
+                // Departures never raise the in-flight count, and a packet
+                // dropped at injection left it where it was.
+                self.totals.peak_backlog = self.totals.peak_backlog.max(self.totals.in_flight);
+                let slots = self.samplers[source as usize].next_arrival_slots();
+                self.schedule_arrival(q, end, source, slots);
+            }
+            SessionEvent::Departure { link } => {
+                let mut packet = self.queues[link as usize]
+                    .queue
+                    .pop_front()
+                    .expect("departure events match queued packets one to one");
+                packet.hop += 1;
+                self.forward(q, end, packet, Some(link), ev.time);
+            }
         });
         self.now_slot = end_slot;
-        segment.backlog_end = self.totals.in_flight;
-        finalize_segment_delay(&mut segment);
+        let segment = SegmentReport {
+            start_slot,
+            end_slot,
+            injected: self.totals.injected - before.injected,
+            delivered: self.totals.delivered - before.delivered,
+            dropped: self.totals.dropped - before.dropped,
+            backlog_end: self.totals.in_flight,
+        };
         scream_obs::set_slot(end_slot);
         scream_obs::counter_add("traffic.injected", segment.injected);
         scream_obs::counter_add("traffic.delivered", segment.delivered);
@@ -677,24 +753,6 @@ impl TrafficSession {
     }
 }
 
-/// Accumulates one delay sample into the segment's running stats buffer.
-/// (Kept outside the struct to avoid borrowing `self` twice in `handle`.)
-fn segment_push_delay(segment: &mut SegmentReport, slots: f64) {
-    // `DelayStats` is assembled at segment end; stash samples in `mean_slots`
-    // as a running sum and `count` until then.
-    segment.delay.count += 1;
-    segment.delay.mean_slots += slots;
-    segment.delay.max_slots = segment.delay.max_slots.max(slots);
-}
-
-/// Converts the running sum stashed by [`segment_push_delay`] into a mean.
-/// Percentiles are only tracked session-wide ([`TrafficSession::delay`]).
-fn finalize_segment_delay(segment: &mut SegmentReport) {
-    if segment.delay.count > 0 {
-        segment.delay.mean_slots /= segment.delay.count as f64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,15 +767,18 @@ mod tests {
 
     /// A path 3→2→1→0 with gateway 0, served round-robin one link per slot.
     fn path_setup() -> (Schedule, ForwardingTable) {
+        let table = ForwardingTable::from_forest(&path_forest());
+        let frame =
+            Schedule::from_slots(vec![vec![link(3, 2)], vec![link(2, 1)], vec![link(1, 0)]]);
+        (frame, table)
+    }
+
+    fn path_forest() -> RoutingForest {
         let mut g = Graph::new(4, GraphKind::Undirected);
         for (u, v) in [(0u32, 1u32), (1, 2), (2, 3)] {
             g.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
         }
-        let forest = RoutingForest::shortest_path(&g, &[NodeId::new(0)], 1).unwrap();
-        let table = ForwardingTable::from_forest(&forest);
-        let frame =
-            Schedule::from_slots(vec![vec![link(3, 2)], vec![link(2, 1)], vec![link(1, 0)]]);
-        (frame, table)
+        RoutingForest::shortest_path(&g, &[NodeId::new(0)], 1).unwrap()
     }
 
     fn session(frame: &Schedule, table: ForwardingTable, rate: f64, seed: u64) -> TrafficSession {
@@ -743,21 +804,24 @@ mod tests {
 
     #[test]
     fn session_matches_engine_on_an_uninterrupted_run() {
-        // Same path, same seed, same horizon: the session's aggregate
-        // measurements must reproduce the engine's exactly.
+        // Same path, same seed, same horizon: a table-routed session must
+        // reproduce the path-routed run — the engine's report and a
+        // path-routed session advanced directly — exactly.
         let (frame, table) = path_setup();
         let horizon_frames = 40u64;
-        let mut g = Graph::new(4, GraphKind::Undirected);
-        for (u, v) in [(0u32, 1u32), (1, 2), (2, 3)] {
-            g.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
-        }
-        let forest = RoutingForest::shortest_path(&g, &[NodeId::new(0)], 1).unwrap();
         let demands = DemandVector::from_vec(vec![0, 1, 1, 1]);
-        let flows =
-            FlowSet::along_forest_with(&forest, &demands, 0.2, |_, r| ArrivalProcess::poisson(r));
+        let flows = FlowSet::along_forest_with(&path_forest(), &demands, 0.2, |_, r| {
+            ArrivalProcess::poisson(r)
+        });
         let config = TrafficConfig::new(horizon_frames).with_seed(11);
-        let engine = TrafficEngine::on_schedule(&frame, flows, config).unwrap();
+        let engine = TrafficEngine::on_schedule(&frame, flows.clone(), config).unwrap();
         let report = engine.run();
+        let mut paths = TrafficSession::on_paths(
+            Arc::new(FrameService::from_schedule(&frame)),
+            &flows,
+            config,
+        );
+        paths.advance(horizon_frames * 3);
 
         // The forest has sources {1, 2, 3}; the engine seeds flows by index
         // in node order, so the session must list sources the same way.
@@ -772,12 +836,29 @@ mod tests {
             TrafficSession::new(FrameService::from_schedule(&frame), sources, table, config)
                 .unwrap();
         let segment = session.advance(horizon_frames * 3);
-        assert_eq!(segment.injected, report.injected);
-        assert_eq!(segment.delivered, report.delivered);
-        assert_eq!(session.totals().in_flight, report.final_backlog);
-        assert_eq!(session.totals().peak_backlog, report.peak_backlog);
-        assert!((session.delay().mean_slots - report.delay.mean_slots).abs() < 1e-9);
-        assert!((session.delay().p95_slots - report.delay.p95_slots).abs() < 1e-9);
+        assert_eq!(
+            (segment.injected, segment.delivered, segment.dropped),
+            (report.injected, report.delivered, 0)
+        );
+        assert_eq!(
+            session.totals(),
+            SessionTotals {
+                injected: report.injected,
+                delivered: report.delivered,
+                dropped: 0,
+                rescued: 0,
+                in_flight: report.final_backlog,
+                peak_backlog: report.peak_backlog,
+            }
+        );
+        assert_eq!(session.totals(), paths.totals());
+        assert_eq!(session.delay(), report.delay);
+        assert_eq!(session.delay(), paths.delay());
+        assert_eq!(
+            session.analytic_loads(),
+            (report.link_loads, report.verdict)
+        );
+        assert!(report.delivered > 0);
     }
 
     #[test]

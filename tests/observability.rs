@@ -215,3 +215,28 @@ fn every_probe_has_exactly_one_outcome() {
             > 0
     );
 }
+
+/// A `TrafficEngine` run is one session segment, so it emits the segment
+/// counters: they must equal the report's own totals, and two same-seed
+/// runs must leave equal snapshots.
+#[test]
+fn engine_runs_emit_the_segment_counters() {
+    let instance = paper_instance(5);
+    let schedule = instance.run_centralized();
+    let run = || instance.run_traffic(&schedule, 0.9, 30);
+    let (report_a, obs_a) = observed(run);
+    let (report_b, obs_b) = observed(run);
+    assert_eq!(report_a, report_b);
+    assert_eq!(report_a, run(), "the sink must not change the report");
+    assert_eq!(obs_a.snapshot, obs_b.snapshot, "metrics snapshots diverged");
+
+    let snapshot = &obs_a.snapshot;
+    assert!(report_a.delivered > 0, "the run must carry traffic");
+    assert_eq!(snapshot.counter("traffic.injected"), report_a.injected);
+    assert_eq!(snapshot.counter("traffic.delivered"), report_a.delivered);
+    assert_eq!(snapshot.counter("traffic.dropped"), 0);
+    assert_eq!(
+        snapshot.gauges.get("traffic.backlog").copied(),
+        Some(report_a.final_backlog)
+    );
+}

@@ -1,46 +1,26 @@
-//! Golden digests of traffic and resilience reports.
-//!
-//! Each case renders one report with `{:?}` and hashes the text with 64-bit
-//! FNV-1a. The pinned values fix every field of every report — counts,
-//! delay percentiles, per-link loads, verdicts — to the last bit, so a
-//! change to the packet simulator that claims to keep its behavior must
-//! leave all of them unchanged. A legitimate behavior change re-pins them
-//! and says why.
+//! Golden digests of traffic and resilience reports: each case hashes a
+//! report's `{:?}` rendering with 64-bit FNV-1a, fixing every field —
+//! counts, delay percentiles, per-link loads, verdicts — to the last bit. A
+//! change that keeps the packet simulator's behavior leaves them all alone;
+//! one that changes it re-pins them and says why.
 
 use scream::prelude::*;
 use scream_bench::{heavy_demand_instance, LargeScaleScenario, PaperScenario, RecoveryExperiment};
 
-/// 64-bit FNV-1a over the `Debug` rendering.
-fn digest(report: &impl std::fmt::Debug) -> u64 {
-    format!("{report:?}")
+/// One `case digest` line: 64-bit FNV-1a over the `Debug` rendering.
+fn pin(case: &str, report: &impl std::fmt::Debug) -> String {
+    let digest = format!("{report:?}")
         .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
             (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
-        })
+        });
+    format!("{case} {digest:016x}\n")
 }
 
-/// Compares `(case, digest)` pairs against the pins, reporting every case
-/// that moved (with its new value) in one failure.
-fn assert_pinned(actual: &[(String, u64)], pinned: &[(&str, u64)]) {
-    let names: Vec<&str> = actual.iter().map(|(name, _)| name.as_str()).collect();
-    let pinned_names: Vec<&str> = pinned.iter().map(|&(name, _)| name).collect();
-    let rendered: Vec<String> = actual
-        .iter()
-        .map(|(name, got)| format!("    ({name:?}, {got:#018x}),"))
-        .collect();
-    assert_eq!(
-        names,
-        pinned_names,
-        "the case list changed; current digests:\n{}",
-        rendered.join("\n")
-    );
-    let moved: Vec<String> = actual
-        .iter()
-        .zip(pinned)
-        .filter(|((_, got), (_, want))| got != want)
-        .map(|((name, got), (_, want))| format!("{name}: {got:#018x} (pinned {want:#018x})"))
-        .collect();
-    assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
+fn run(frame: &Schedule, flows: FlowSet, config: TrafficConfig) -> TrafficReport {
+    TrafficEngine::on_schedule(frame, flows, config)
+        .unwrap()
+        .run()
 }
 
 /// The named arrival process at mean rate `rate`.
@@ -63,60 +43,46 @@ fn single_hop_at(demands: &LinkDemands, frame_slots: u64, load: f64) -> FlowSet 
 #[test]
 fn paper_grid_traffic_reports_are_pinned() {
     let instance = PaperScenario::grid(2_000.0).instantiate(1);
-    let frames = [
-        ("centralized", instance.run_centralized()),
-        ("fdd", instance.run_protocol(ProtocolKind::Fdd).schedule),
-    ];
-    let mut actual = Vec::new();
-    for (frame_name, frame) in &frames {
-        let frame_slots = frame.length() as u64;
+    let pins = |frame: &Schedule| {
+        let mut pins = String::new();
         for rho in [0.6, 0.9, 1.5] {
-            let per_demand = rho / frame_slots as f64;
-            for arrival_name in ["deterministic", "poisson", "on_off"] {
+            let per_demand = rho / frame.length() as f64;
+            for name in ["deterministic", "poisson", "on_off"] {
                 let flows = FlowSet::along_forest_with(
                     &instance.forest,
                     &instance.demands,
                     per_demand,
-                    |_, rate| arrival(arrival_name, rate),
+                    |_, rate| arrival(name, rate),
                 );
-                let report = TrafficEngine::on_schedule(
-                    frame,
-                    flows,
-                    TrafficConfig::new(20).with_seed(instance.seed),
-                )
-                .unwrap()
-                .run();
-                actual.push((
-                    format!("{frame_name}/rho{rho}/{arrival_name}"),
-                    digest(&report),
-                ));
+                let config = TrafficConfig::new(20).with_seed(instance.seed);
+                pins += &pin(&format!("rho{rho}/{name}"), &run(frame, flows, config));
             }
         }
-    }
-    assert_pinned(&actual, PAPER_GRID_PINS);
+        pins
+    };
+    assert_eq!(pins(&instance.run_centralized()), PAPER_GRID_PINS);
+    // FDD builds the centralized frame (Theorem 4), so it carries the same
+    // traffic to the bit.
+    let fdd = instance.run_protocol(ProtocolKind::Fdd).schedule;
+    assert_eq!(pins(&fdd), PAPER_GRID_PINS);
 }
 
 #[test]
 fn single_hop_traffic_reports_are_pinned() {
-    let mut actual = Vec::new();
-
-    // The 64-link heavy-demand frame at 90% load.
+    // The 64-link heavy-demand frame and a ~10³-link large-scale lattice,
+    // every link at 90% load.
     let (env, demands) = heavy_demand_instance(100);
     let frame = GreedyPhysical::paper_baseline().schedule(&env, &demands);
     let flows = single_hop_at(&demands, frame.length() as u64, 0.9);
-    let report = TrafficEngine::on_schedule(&frame, flows, TrafficConfig::new(50))
-        .unwrap()
-        .run();
-    actual.push(("heavy_demand_64".to_string(), digest(&report)));
-
-    // A ~10³-link large-scale lattice at 90% load.
+    let mut pins = pin(
+        "heavy_demand_64",
+        &run(&frame, flows, TrafficConfig::new(50)),
+    );
     let (env, demands) = LargeScaleScenario::with_target_links(1_000).instantiate();
     let frame = GreedyPhysical::paper_baseline().schedule(&env, &demands);
     let flows = single_hop_at(&demands, frame.length() as u64, 0.9);
-    let report = TrafficEngine::on_schedule(&frame, flows, TrafficConfig::new(5).with_seed(3))
-        .unwrap()
-        .run();
-    actual.push(("large_scale_1k".to_string(), digest(&report)));
+    let config = TrafficConfig::new(5).with_seed(3);
+    pins += &pin("large_scale_1k", &run(&frame, flows, config));
 
     // A million-slot frame serving one link in its first 100k slots.
     let link = Link::new(NodeId::new(1), NodeId::new(0));
@@ -124,19 +90,17 @@ fn single_hop_traffic_reports_are_pinned() {
     frame.push_slot_run(vec![link], 100_000);
     frame.push_slot_run(vec![], 900_000);
     let flows = FlowSet::single_hop(vec![(link, ArrivalProcess::deterministic(0.05))]);
-    let report = TrafficEngine::on_schedule(&frame, flows, TrafficConfig::new(1))
-        .unwrap()
-        .run();
-    actual.push(("million_slot_frame".to_string(), digest(&report)));
-
-    assert_pinned(&actual, SINGLE_HOP_PINS);
+    pins += &pin(
+        "million_slot_frame",
+        &run(&frame, flows, TrafficConfig::new(1)),
+    );
+    assert_eq!(pins, SINGLE_HOP_PINS);
 }
 
 #[test]
 fn resilience_reports_are_pinned() {
     let instance = PaperScenario::grid(2_000.0).instantiate(1);
     let experiment = RecoveryExperiment::from_instance(&instance);
-    let mut actual = Vec::new();
 
     // Both arms of the busiest-uplink outage at load 0.8, as
     // `RecoveryExperiment::single_link_outage` runs them.
@@ -145,21 +109,13 @@ fn resilience_reports_are_pinned() {
     let trace = FaultPlan::new()
         .link_down(experiment.failed_link(), horizon / 4)
         .build();
-    let repaired = experiment
-        .harness(rho)
-        .run(&trace, horizon, instance.seed)
-        .unwrap();
-    let baseline = experiment
-        .harness(rho)
-        .with_config(ReschedulerConfig::baseline())
-        .run(&trace, horizon, instance.seed)
-        .unwrap();
-    actual.push(("outage/repaired".to_string(), digest(&repaired)));
-    actual.push(("outage/baseline".to_string(), digest(&baseline)));
-    actual.push((
-        "outage/point".to_string(),
-        digest(&experiment.single_link_outage(rho, 12)),
-    ));
+    let harness = experiment.harness(rho);
+    let repaired = harness.run(&trace, horizon, instance.seed).unwrap();
+    let harness = harness.with_config(ReschedulerConfig::baseline());
+    let baseline = harness.run(&trace, horizon, instance.seed).unwrap();
+    let point = experiment.single_link_outage(rho, 12);
+    let mut pins = pin("outage/repaired", &repaired) + &pin("outage/baseline", &baseline);
+    pins += &pin("outage/point", &point);
 
     // One seeded random-churn run on the same world.
     let graph = instance.env.communication_graph();
@@ -181,43 +137,31 @@ fn resilience_reports_are_pinned() {
         .random_churn(config, &links, &nodes, 17)
         .build();
     let report = experiment.harness(0.7).run(&churn, horizon, 5).unwrap();
-    actual.push(("random_churn".to_string(), digest(&report)));
-
-    assert_pinned(&actual, RESILIENCE_PINS);
+    pins += &pin("random_churn", &report);
+    assert_eq!(pins, RESILIENCE_PINS);
 }
 
-// FDD builds the same frame as GreedyPhysical (Theorem 4), so its rows
-// repeat the centralized digests.
-const PAPER_GRID_PINS: &[(&str, u64)] = &[
-    ("centralized/rho0.6/deterministic", 0xcde323d6fad9027e),
-    ("centralized/rho0.6/poisson", 0x0e124629bd231238),
-    ("centralized/rho0.6/on_off", 0x4c4bf6587705db21),
-    ("centralized/rho0.9/deterministic", 0xeefa1d067bdf336e),
-    ("centralized/rho0.9/poisson", 0x6e2914bd013ec34c),
-    ("centralized/rho0.9/on_off", 0x20b4e0446d079562),
-    ("centralized/rho1.5/deterministic", 0xfb22e9f5c440ef62),
-    ("centralized/rho1.5/poisson", 0x56d98df34a46e4e2),
-    ("centralized/rho1.5/on_off", 0x47e10b0a038209a4),
-    ("fdd/rho0.6/deterministic", 0xcde323d6fad9027e),
-    ("fdd/rho0.6/poisson", 0x0e124629bd231238),
-    ("fdd/rho0.6/on_off", 0x4c4bf6587705db21),
-    ("fdd/rho0.9/deterministic", 0xeefa1d067bdf336e),
-    ("fdd/rho0.9/poisson", 0x6e2914bd013ec34c),
-    ("fdd/rho0.9/on_off", 0x20b4e0446d079562),
-    ("fdd/rho1.5/deterministic", 0xfb22e9f5c440ef62),
-    ("fdd/rho1.5/poisson", 0x56d98df34a46e4e2),
-    ("fdd/rho1.5/on_off", 0x47e10b0a038209a4),
-];
+const PAPER_GRID_PINS: &str = "\
+rho0.6/deterministic cde323d6fad9027e
+rho0.6/poisson 0e124629bd231238
+rho0.6/on_off 4c4bf6587705db21
+rho0.9/deterministic eefa1d067bdf336e
+rho0.9/poisson 6e2914bd013ec34c
+rho0.9/on_off 20b4e0446d079562
+rho1.5/deterministic fb22e9f5c440ef62
+rho1.5/poisson 56d98df34a46e4e2
+rho1.5/on_off 47e10b0a038209a4
+";
 
-const SINGLE_HOP_PINS: &[(&str, u64)] = &[
-    ("heavy_demand_64", 0x3c0f396f99ffb51f),
-    ("large_scale_1k", 0x22130ba1607a49ab),
-    ("million_slot_frame", 0x0bacace111c6a93f),
-];
+const SINGLE_HOP_PINS: &str = "\
+heavy_demand_64 3c0f396f99ffb51f
+large_scale_1k 22130ba1607a49ab
+million_slot_frame 0bacace111c6a93f
+";
 
-const RESILIENCE_PINS: &[(&str, u64)] = &[
-    ("outage/repaired", 0xb1c2036422d7dd25),
-    ("outage/baseline", 0x93fd14d207086cdf),
-    ("outage/point", 0xa64ef988be855fd5),
-    ("random_churn", 0x1c7b82323e9636be),
-];
+const RESILIENCE_PINS: &str = "\
+outage/repaired b1c2036422d7dd25
+outage/baseline 93fd14d207086cdf
+outage/point a64ef988be855fd5
+random_churn 1c7b82323e9636be
+";
